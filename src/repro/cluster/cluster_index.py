@@ -13,10 +13,13 @@ Identity contract (inherited, now across a process boundary):
 
 * **Healthy cluster** — answers are bit-identical to the in-process
   :class:`~repro.index.sharded.ShardedIndex` over the same snapshot, which
-  is itself bit-identical to one unsharded index over the same rows.  The
-  merge recomputes candidate distances from raw values on the coordinator;
-  values travel as JSON numbers whose ``repr`` round-trips float64 exactly,
-  so the recomputation sees the same bits it would in process.
+  is itself bit-identical to one unsharded index over the same rows.  A
+  worker answers with shard-local ids and canonical squared distances: it
+  normalizes the same query bits (JSON numbers whose ``repr`` round-trips
+  float64 exactly) and applies the same per-row ``einsum`` as the
+  in-process shard, and the squared distances return by the same exact
+  round trip, so the coordinator's ``(squared, row)`` merge sees the bits
+  it would in process.
 * **Degraded cluster** — with ``degraded="allow"``, answers during a worker
   outage are bit-identical to an index over the surviving shards' rows,
   flagged ``partial=True`` with ``coverage < 1``.
@@ -41,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.errors import ReadOnlyIndexError
+from repro.core.errors import ReadOnlyIndexError, ShardError
 from repro.index.search import SearchStats, stats_from_payload
 from repro.index.sharded import _SHARD_READMITS, ShardedIndex, _Shard
 from repro.index.shard_health import SupervisorPolicy
@@ -145,14 +148,15 @@ class ClusterIndex(ShardedIndex):
         return timeout_s
 
     def _attempt_knn(self, shard: _Shard, slice_deadline: "float | None",
-                     query: np.ndarray, k: int, global_best,
-                     offered: "list[bool]"):
+                     query: np.ndarray, normalized: np.ndarray, k: int,
+                     global_best, offered: "list[bool]"):
         """One remote attempt: RPC the worker, translate ids, offer bounds.
 
         The shared best-so-far is snapshotted into the request (``None``
         while still infinite); the worker holds it frozen for the whole
         search.  Results are offered back to the live heap so shards that
-        answer later, and retries, start from a tighter bound.
+        answer later, and retries, start from a tighter bound.  The worker
+        normalizes the raw query itself, so ``normalized`` goes unused.
         """
         timeout_s = self._slice_timeout(shard, slice_deadline)
         threshold = float(global_best.threshold)
@@ -160,37 +164,31 @@ class ClusterIndex(ShardedIndex):
             query, k, timeout_s,
             threshold if np.isfinite(threshold) else None)
         surviving = int(payload["surviving"])
-        local_ids = np.asarray(payload["ids"], dtype=np.int64)
-        values = np.asarray(payload["values"], dtype=np.float64).reshape(
-            local_ids.shape[0], self._series_length)
+        global_ids = shard.globals_map[
+            np.asarray(payload["ids"], dtype=np.int64)]
+        squared = np.asarray(payload["squared"], dtype=np.float64)
         stats = stats_from_payload(payload["stats"])
-        global_ids = shard.globals_map[local_ids]
-        if local_ids.size:
+        if global_ids.size:
             offered[shard.index] = True
-            global_best.offer_block(
-                np.asarray(payload["squared"], dtype=np.float64), global_ids)
+            global_best.offer_block(squared, global_ids)
         # Keep the coordinator's surviving-row bookkeeping exact even while
         # the engine lives elsewhere: num_surviving sums these hints.
         shard.num_surviving_hint = surviving
-        return (global_ids, values), stats, surviving
+        return (global_ids, squared), stats, surviving
 
     def _attempt_batch(self, shard: _Shard, slice_deadline: "float | None",
-                       matrix: np.ndarray, k: int):
+                       matrix: np.ndarray, normalized: np.ndarray, k: int):
         timeout_s = self._slice_timeout(shard, slice_deadline)
         payload = self._clients[shard.index].knn_batch_once(
             matrix, k, timeout_s)
         surviving = int(payload["surviving"])
         globals_map = shard.globals_map
-        results = []
-        for entry in payload["results"]:
-            local_ids = np.asarray(entry["ids"], dtype=np.int64)
-            values = np.asarray(entry["values"], dtype=np.float64).reshape(
-                local_ids.shape[0], self._series_length)
-            results.append((globals_map[local_ids], values))
+        results = [
+            (globals_map[np.asarray(entry["ids"], dtype=np.int64)],
+             np.asarray(entry["squared"], dtype=np.float64))
+            for entry in payload["results"]]
         stats = [stats_from_payload(entry) for entry in payload["stats"]]
         if len(results) != matrix.shape[0] or len(stats) != matrix.shape[0]:
-            from repro.core.errors import ShardError
-
             raise ShardError(
                 f"shard {shard.index} worker answered {len(results)} results "
                 f"for {matrix.shape[0]} queries")
@@ -228,6 +226,8 @@ class ClusterIndex(ShardedIndex):
             "written by the in-process index that built them")
 
     def close(self) -> None:
-        """Stop the probe loop and scatter pool, then the worker fleet."""
+        """Stop the probe loop, scatter pool and connections, then workers."""
         super().close()
+        for client in self._clients:
+            client.close()
         self._supervisor.stop()

@@ -9,12 +9,15 @@ total order.  The design goals, in order:
 
 * **Bit-identity when healthy.**  With every shard answering, ``knn`` /
   ``knn_batch`` return exactly what one unsharded index over the same rows
-  returns — same ids, same distances, same tie order.  The merge never
-  trusts refinement-time distances: it recomputes the candidate union's
-  distances with the same canonical ``einsum`` + ``lexsort`` procedure as
-  :func:`~repro.index.search.finalize_result` (per-row results are
-  independent of which other rows sit in the matrix), so selecting the top
-  ``k`` of the union *is* the unsharded finalization.
+  returns — same ids, same distances, same tie order.  No shard reports a
+  refinement-time distance: each recomputes its candidates' squared
+  distances with the same per-row ``einsum`` against the same normalized
+  query as :func:`~repro.index.search.finalize_result` (per-row results are
+  independent of which other rows sit in the matrix), and the merge sorts
+  the union by ``(squared, row)`` with one ``lexsort``, so selecting the top
+  ``k`` of the union *is* the unsharded finalization.  In-process and remote
+  shards (:mod:`repro.cluster`) answer in that one shape and share the
+  merge.
 * **Cross-shard pruning.**  Single-query ``knn`` hands every shard the same
   :class:`~repro.index.search.SharedKnnHeap` through a
   :class:`~repro.index.search._TandemHeap`: one shard's tightened
@@ -119,6 +122,37 @@ SHARDED_FORMAT_VERSION = 1
 #: Degraded-answer policies: ``allow`` serves partial answers (flagged in the
 #: stats), ``forbid`` raises :class:`~repro.core.errors.PartialResultError`.
 DEGRADED_MODES = ("allow", "forbid")
+
+
+#: A shard answer with no candidates: ``(global rows, squared)``.
+_NO_CANDIDATES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+
+
+def candidate_squared(engine: DynamicIndex, rows: np.ndarray,
+                      normalized: np.ndarray) -> np.ndarray:
+    """Canonical squared distances of ``rows`` to a normalized query.
+
+    The same per-row ``einsum`` as
+    :func:`~repro.index.search.finalize_result`; a row's result does not
+    depend on the other rows, so any shard computing it for the same query
+    bits produces the unsharded finalization's bits.
+    """
+    difference = engine.gather_values(rows) - normalized
+    return np.einsum("ij,ij->i", difference, difference)
+
+
+def _top_k(parts: "list[tuple[np.ndarray, np.ndarray]]", k: int,
+           stats: SearchStats) -> SearchResult:
+    """Merge per-shard ``(global rows, squared)`` under ``(squared, row)``.
+
+    Global rows are unique across shards, so the order is total and the
+    first ``k`` entries are what one index over the union finalizes to.
+    """
+    rows = np.concatenate([part[0] for part in parts])
+    squared = np.concatenate([part[1] for part in parts])
+    keep = np.lexsort((rows, squared))[:min(k, rows.shape[0])]
+    return SearchResult(indices=rows[keep], distances=np.sqrt(squared[keep]),
+                        stats=stats)
 
 
 def _shard_dirname(index: int) -> str:
@@ -637,8 +671,8 @@ class ShardedIndex:
 
             def attempt(shard: _Shard, slice_deadline: "float | None",
                         _offered=offered, _best=global_best):
-                return self._attempt_knn(shard, slice_deadline, query, k,
-                                         _best, _offered)
+                return self._attempt_knn(shard, slice_deadline, query,
+                                         query_normalized, k, _best, _offered)
 
             outcomes = self._scatter(attempt, deadline, presets=presets)
             contaminated = [o for o in outcomes
@@ -663,7 +697,7 @@ class ShardedIndex:
                     else 0.0,
                     answered=int(outcome.answered))
             merge_start = time.perf_counter()
-        result = self._merge_knn(query_normalized, k, outcomes, mode)
+        result = self._merge_knn(k, outcomes, mode)
         if trace is not None:
             trace.add_phase("merge", time.perf_counter() - merge_start,
                             candidates=int(result.indices.size))
@@ -678,13 +712,15 @@ class ShardedIndex:
                         timeout_s=timeout_s, degraded=degraded)
 
     def _attempt_knn(self, shard: _Shard, slice_deadline: "float | None",
-                     query: np.ndarray, k: int, global_best: SharedKnnHeap,
-                     offered: "list[bool]"):
-        """One attempt of one shard: search, translate ids, gather values.
+                     query: np.ndarray, normalized: np.ndarray, k: int,
+                     global_best: SharedKnnHeap, offered: "list[bool]"):
+        """One attempt of one shard: search, translate ids, square distances.
 
-        The seqlock dance: capture the shard's (even) version, run the
-        query, and retry if a compaction moved it — the id translation and
-        gathered values must come from one consistent generation.
+        Answers ``(global rows, squared)`` with each candidate's canonical
+        squared distance to the ``normalized`` query.  The seqlock dance:
+        capture the shard's (even) version, run the query, and retry if a
+        compaction moved it — the id translation and gathered values must
+        come from one consistent generation.
         """
         engine = self._engine(shard)
         while True:
@@ -708,21 +744,19 @@ class ShardedIndex:
             if effective_k == 0:
                 if shard.version != version:
                     continue
-                payload = (np.empty(0, dtype=np.int64),
-                           np.empty((0, self._series_length)))
-                return payload, SearchStats(num_series=0), 0
+                return _NO_CANDIDATES, SearchStats(num_series=0), 0
             adapter = _GlobalBestAdapter(global_best, shard, offered)
             result = engine.knn(query, k=effective_k, num_workers=1,
                                 timeout_s=timeout_s, shared_best=adapter)
-            values = engine.gather_values(result.indices)
+            squared = candidate_squared(engine, result.indices, normalized)
             globals_map = shard.globals_map
             if shard.version != version:
                 continue
-            return ((globals_map[result.indices], values), result.stats,
+            return ((globals_map[result.indices], squared), result.stats,
                     surviving)
 
-    def _merge_knn(self, query_normalized: np.ndarray, k: int,
-                   outcomes: "list[_Outcome]", mode: str) -> SearchResult:
+    def _merge_knn(self, k: int, outcomes: "list[_Outcome]",
+                   mode: str) -> SearchResult:
         """Gather per-shard candidates into the canonical global answer."""
         answered = [o for o in outcomes if o.answered]
         total = len(outcomes)
@@ -734,21 +768,9 @@ class ShardedIndex:
             raise SearchError(
                 f"k={k} exceeds the number of surviving series "
                 f"({surviving_total})")
-        rows = np.concatenate([o.payload[0] for o in answered])
-        values = np.concatenate([o.payload[1] for o in answered], axis=0)
         stats = self._merged_stats([o.stats for o in answered],
                                    surviving_total, total, len(answered))
-        # Canonical finalization over the candidate union: per-row einsum
-        # distances are independent of the other rows in the matrix, so the
-        # lexsort's first k entries are exactly finalize_result's output for
-        # one index over the union — the bit-identity argument.
-        order = np.argsort(rows)
-        rows_sorted = rows[order]
-        difference = values[order] - query_normalized
-        squared = np.einsum("ij,ij->i", difference, difference)
-        keep = np.lexsort((rows_sorted, squared))[:min(k, rows_sorted.shape[0])]
-        return SearchResult(indices=rows_sorted[keep],
-                            distances=np.sqrt(squared[keep]), stats=stats)
+        return _top_k([o.payload for o in answered], k, stats)
 
     def knn_batch(self, queries, k: int = 1, num_workers: "int | None" = None,
                   timeout_s: "float | None" = None,
@@ -757,7 +779,7 @@ class ShardedIndex:
 
         No cross-shard best-so-far here (the per-shard batched engines keep
         their own schedules); answers are still exact and bit-identical to
-        the unsharded batch through the same candidate-union recomputation.
+        the unsharded batch through the same ``(squared, row)`` merge.
         """
         wall_start = time.perf_counter()
         k = validated_count(k)
@@ -778,7 +800,8 @@ class ShardedIndex:
         normalized = znormalize_batch(matrix)
 
         def attempt(shard: _Shard, slice_deadline: "float | None"):
-            return self._attempt_batch(shard, slice_deadline, matrix, k)
+            return self._attempt_batch(shard, slice_deadline, matrix,
+                                       normalized, k)
 
         outcomes = self._scatter(attempt, deadline)
         answered = [o for o in outcomes if o.answered]
@@ -791,22 +814,11 @@ class ShardedIndex:
             raise SearchError(
                 f"k={k} exceeds the number of surviving series "
                 f"({surviving_total})")
-        results = []
-        for position in range(matrix.shape[0]):
-            rows = np.concatenate([o.payload[position][0] for o in answered])
-            values = np.concatenate([o.payload[position][1] for o in answered],
-                                    axis=0)
-            stats = self._merged_stats([o.stats[position] for o in answered],
-                                       surviving_total, total, len(answered))
-            order = np.argsort(rows)
-            rows_sorted = rows[order]
-            difference = values[order] - normalized[position]
-            squared = np.einsum("ij,ij->i", difference, difference)
-            keep = np.lexsort((rows_sorted, squared))[
-                :min(k, rows_sorted.shape[0])]
-            results.append(SearchResult(indices=rows_sorted[keep],
-                                        distances=np.sqrt(squared[keep]),
-                                        stats=stats))
+        results = [
+            _top_k([o.payload[position] for o in answered], k,
+                   self._merged_stats([o.stats[position] for o in answered],
+                                      surviving_total, total, len(answered)))
+            for position in range(matrix.shape[0])]
         # Every result carries the batch's caller-observed wall time, the
         # same convention as BatchSearcher.knn_batch.
         wall_time = time.perf_counter() - wall_start
@@ -815,7 +827,7 @@ class ShardedIndex:
         return results
 
     def _attempt_batch(self, shard: _Shard, slice_deadline: "float | None",
-                       matrix: np.ndarray, k: int):
+                       matrix: np.ndarray, normalized: np.ndarray, k: int):
         engine = self._engine(shard)
         num_queries = matrix.shape[0]
         while True:
@@ -839,9 +851,7 @@ class ShardedIndex:
             if effective_k == 0:
                 if shard.version != version:
                     continue
-                empty = (np.empty(0, dtype=np.int64),
-                         np.empty((0, self._series_length)))
-                return ([empty] * num_queries,
+                return ([_NO_CANDIDATES] * num_queries,
                         [SearchStats(num_series=0)
                          for _ in range(num_queries)], 0)
             shard_results = engine.knn_batch(matrix, k=effective_k,
@@ -849,8 +859,8 @@ class ShardedIndex:
                                              timeout_s=timeout_s)
             globals_map = shard.globals_map
             payload = [(globals_map[result.indices],
-                        engine.gather_values(result.indices))
-                       for result in shard_results]
+                        candidate_squared(engine, result.indices, query))
+                       for result, query in zip(shard_results, normalized)]
             if shard.version != version:
                 continue
             return payload, [result.stats for result in shard_results], \

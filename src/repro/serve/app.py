@@ -36,7 +36,7 @@ from repro.core.errors import (
     UnknownIndexError,
     ValidationError,
 )
-from repro.core.normalization import znormalize
+from repro.core.normalization import znormalize, znormalize_batch
 from repro.index.dynamic import DynamicIndex
 from repro.index.search import (
     FixedThreshold,
@@ -46,7 +46,7 @@ from repro.index.search import (
     validated_count,
     validated_query,
 )
-from repro.index.sharded import ShardedIndex
+from repro.index.sharded import ShardedIndex, candidate_squared
 from repro.index.stats import summarize_search_stats
 from repro.obs.metrics import get_registry
 from repro.obs.slowlog import SlowQueryLog
@@ -519,10 +519,11 @@ class SearchApp:
         (:meth:`repro.index.sharded.ShardedIndex._attempt_knn`) over the
         wire: clamp ``k`` to the shard's surviving rows, search with the
         coordinator's forwarded best-so-far ``threshold`` as a frozen
-        pruning bound, and return shard-*local* candidate ids, their raw
-        normalized values, and canonical squared distances (the same
-        einsum the coordinator's merge recomputes, so the offers it makes
-        to its live heap carry identical bits).
+        pruning bound, and return shard-*local* candidate ids and their
+        canonical squared distances — the same per-row einsum against the
+        same normalized query bits as the in-process shard, so the
+        coordinator merges them, and offers them to its live heap, with
+        identical bits.
         """
         entry = self._entry(name)
         k = validated_count(k)
@@ -532,22 +533,18 @@ class SearchApp:
         surviving = int(engine.num_surviving)
         effective_k = min(k, surviving)
         if effective_k == 0:
-            return {"ids": [], "values": [], "squared": [],
+            return {"ids": [], "squared": [],
                     "stats": stats_to_payload(SearchStats(num_series=0)),
                     "surviving": surviving}
         shared = FixedThreshold(threshold) if threshold is not None else None
         result = engine.knn(query, k=effective_k, num_workers=1,
                             timeout_s=timeout_s, shared_best=shared)
-        values = np.asarray(engine.gather_values(result.indices),
-                            dtype=np.float64)
-        difference = values - znormalize(query)
-        squared = np.einsum("ij,ij->i", difference, difference)
+        squared = candidate_squared(engine, result.indices, znormalize(query))
         entry.search_stats.add(result.stats)
         entry.observe_query(result.stats)
         return {
-            "ids": [int(row) for row in result.indices],
-            "values": [[float(value) for value in row] for row in values],
-            "squared": [float(value) for value in squared],
+            "ids": result.indices.tolist(),
+            "squared": squared.tolist(),
             "stats": stats_to_payload(result.stats),
             "surviving": surviving,
         }
@@ -557,8 +554,9 @@ class SearchApp:
         """Batched shard RPC: one engine ``knn_batch``, per-query candidates.
 
         No cross-shard best-so-far (matching the in-process batched
-        scatter); every query's candidates come back with raw values for
-        the coordinator's canonical per-query merge.
+        scatter); every query's candidates come back with their canonical
+        squared distances to that query, normalized as the coordinator's
+        batch normalizes it, for the coordinator's per-query merge.
         """
         entry = self._entry(name)
         k = validated_count(k)
@@ -578,22 +576,21 @@ class SearchApp:
         surviving = int(engine.num_surviving)
         effective_k = min(k, surviving)
         if effective_k == 0:
-            empty = {"ids": [], "values": []}
+            empty = {"ids": [], "squared": []}
             return {"results": [dict(empty) for _ in range(matrix.shape[0])],
                     "stats": [stats_to_payload(SearchStats(num_series=0))
                               for _ in range(matrix.shape[0])],
                     "surviving": surviving}
         results = engine.knn_batch(matrix, k=effective_k, num_workers=1,
                                    timeout_s=timeout_s)
+        normalized = znormalize_batch(matrix)
         payload = []
         stats = []
-        for result in results:
-            values = np.asarray(engine.gather_values(result.indices),
-                                dtype=np.float64)
+        for result, query in zip(results, normalized):
             payload.append({
-                "ids": [int(row) for row in result.indices],
-                "values": [[float(value) for value in row]
-                           for row in values],
+                "ids": result.indices.tolist(),
+                "squared": candidate_squared(engine, result.indices,
+                                             query).tolist(),
             })
             stats.append(stats_to_payload(result.stats))
             entry.search_stats.add(result.stats)

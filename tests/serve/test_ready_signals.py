@@ -93,12 +93,24 @@ class TestWorkerMode:
 
     def test_shard_rpc_routes_answer(self, worker_server, serve_queries,
                                      make_client):
+        """Both search RPCs answer shard-local ids with their squared
+        distances and nothing else per candidate: no raw values."""
         http = make_client(worker_server.url)
         status, payload = http.post("/shard/shard_knn", {
             "query": [float(v) for v in serve_queries[0]], "k": 3})
         assert status == 200
         assert len(payload["ids"]) == 3
         assert len(payload["squared"]) == 3
+        assert "values" not in payload
+        assert payload["surviving"] > 0
+        status, payload = http.post("/shard/shard_knn_batch", {
+            "queries": serve_queries[:2].tolist(), "k": 3})
+        assert status == 200
+        assert len(payload["results"]) == len(payload["stats"]) == 2
+        for entry in payload["results"]:
+            assert set(entry) == {"ids", "squared"}
+            assert len(entry["ids"]) == len(entry["squared"]) == 3
+            assert entry["squared"] == sorted(entry["squared"])
         assert payload["surviving"] > 0
         status, payload = http.post("/shard/shard_probe", {})
         assert status == 200 and payload["ok"] is True
